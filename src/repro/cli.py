@@ -161,6 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CHUNK_HELP = (
+    "points per worker task under --jobs (default: auto, two chunks "
+    "per worker); results are identical for every chunk size"
+)
+
+
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -178,11 +184,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="K",
-        help=(
-            "points per worker task under --jobs (default: auto, "
-            "points / (4 * workers)); results are identical for every "
-            "chunk size"
-        ),
+        help=_CHUNK_HELP,
     )
 
 
@@ -270,8 +272,7 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="points per worker task for the sweep_jobsN row "
-        "(default: auto)",
+        help=_CHUNK_HELP,
     )
     parser.add_argument(
         "--history",
@@ -799,6 +800,9 @@ def _run_profile(raw: list[str]) -> int:
         print(f"unknown figure {args.figure!r}\n\n{_list_figures()}",
               file=sys.stderr)
         return 2
+    if args.sort not in pstats.Stats.sort_arg_dict_default:
+        print(f"unknown sort key {args.sort!r}", file=sys.stderr)
+        return 2
     scale = FULL if args.full else QUICK
     runner, _description = FIGURES[args.figure]
     profiler = cProfile.Profile()
@@ -811,11 +815,7 @@ def _run_profile(raw: list[str]) -> int:
     print()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
-    try:
-        stats.sort_stats(args.sort)
-    except KeyError:
-        print(f"unknown sort key {args.sort!r}", file=sys.stderr)
-        return 2
+    stats.sort_stats(args.sort)
     stats.print_stats(args.lines)
     print(stream.getvalue().rstrip())
     if args.out:

@@ -22,20 +22,18 @@ are all *outcomes* of this machinery, not inputs.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from typing import Callable, Optional
 
-from ..faults.hooks import current_faults
 from ..iommu import Iommu
 from ..iommu.addr import PAGE_SIZE
+from ..iova import age_allocator
 from ..mem.physmem import PhysicalMemory
 from ..net.dctcp import DctcpReceiver, DctcpSender
 from ..net.packet import Packet, PacketKind
 from ..nic import Nic, RecoveryManager
 from ..nic.descriptor import RxDescriptor
 from ..obs.hooks import current_registry
-from ..verify.hooks import current_monitor
 from ..pcie import DmaPipeline
 from ..protection import (
     DeferredDriver,
@@ -49,29 +47,6 @@ from .config import HostConfig
 from .cpu import CoreSet
 
 __all__ = ["Host"]
-
-# Process-level cache of post-aging allocator states.  Aging replays
-# hundreds of thousands of alloc/free pairs to reproduce a long-uptime
-# allocator, and its outcome is a pure function of (driver type,
-# allocator type, aging parameters, host config) — so every testbed
-# after the first in a process (sweep points, bench rows, pool workers
-# inheriting this dict through fork) restores a deep copy instead of
-# replaying.  Only consulted when no registry/monitor/fault hooks are
-# armed: hooked runs must execute the real alloc/free stream (monitors
-# observe it, registry scopes hold references into live allocator
-# internals that a restore would break).
-_AGED_STATE_FIELDS = (
-    "rbtree",
-    "_cpu_rcaches",
-    "_depot",
-    "cpu_ns_by_core",
-    "cache_hits",
-    "cache_misses",
-    "alloc_count",
-    "free_count",
-)
-_AGED_ALLOCATOR_STATES: dict[tuple, dict] = {}
-
 
 class _FlowBinding:
     """Host-side state for one flow (either direction)."""
@@ -215,59 +190,22 @@ class Host:
     def _age_allocator(self) -> None:
         """Reproduce a long-uptime allocator state (see HostConfig).
 
-        Allocates a burst of page-sized IOVAs across all cores, then
-        frees them in shuffled order to random cores.  The magazines
-        and depot end up holding addresses spanning a wide extent in a
-        scrambled order, so subsequent ring replenishment draws
-        scattered IOVAs — the poor-locality regime §2.2 measures.
-        Allocation-trace entries from aging are discarded.
+        Ages the fresh allocator as if a burst of page-sized IOVAs had
+        been allocated across all cores and freed in shuffled order to
+        random cores.  The magazines and depot end up holding addresses
+        spanning a wide extent in a scrambled order, so subsequent ring
+        replenishment draws scattered IOVAs — the poor-locality regime
+        §2.2 measures.  :func:`repro.iova.age_allocator` builds that
+        state in one pass (replaying the stream only under an invariant
+        monitor); aging leaves no allocation-trace entries.
         """
-        count = self.config.effective_aging_iovas
         allocator = getattr(self.driver, "allocator", None)
-        if count <= 0 or allocator is None:
-            return
-        cacheable = (
-            current_registry() is None
-            and current_monitor() is None
-            and current_faults() is None
-        )
-        # The aged state is determined by the allocator's construction
-        # (driver type, core count, chunk size) plus the aging stream
-        # (count, seed, cores); mode is included as a belt-and-braces
-        # separator between driver families.
-        key = (
-            type(self.driver).__name__,
-            type(allocator).__name__,
-            count,
-            self.config.aging_seed,
-            self.config.num_cores,
-            self.config.descriptor_pages,
-            self.config.mode,
-        )
-        if cacheable:
-            state = _AGED_ALLOCATOR_STATES.get(key)
-            if state is not None:
-                for name, value in copy.deepcopy(state).items():
-                    setattr(allocator, name, value)
-                self.allocation_trace.clear()
-                return
-        from ..sim.rng import SeededRng
-
-        rng = SeededRng(self.config.aging_seed, "allocator-aging")
-        cores = self.config.num_cores
-        iovas = [
-            allocator.alloc(1, cpu=index % cores) for index in range(count)
-        ]
-        rng.shuffle(iovas)
-        for index, iova in enumerate(iovas):
-            allocator.free(iova, 1, cpu=rng.randint(0, cores - 1))
-        self.allocation_trace.clear()
-        if cacheable:
-            _AGED_ALLOCATOR_STATES[key] = copy.deepcopy(
-                {
-                    name: getattr(allocator, name)
-                    for name in _AGED_STATE_FIELDS
-                }
+        if allocator is not None:
+            age_allocator(
+                allocator,
+                self.config.effective_aging_iovas,
+                self.config.aging_seed,
+                self.config.num_cores,
             )
 
     def _fill_rings(self) -> None:

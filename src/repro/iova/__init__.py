@@ -1,5 +1,6 @@
 """IOVA allocation: Linux rbtree + per-CPU caches, and F&S chunks."""
 
+from .aging import age_allocator, replay_aging
 from .allocator import (
     DEFAULT_LIMIT_PFN,
     IovaAllocator,
@@ -16,6 +17,8 @@ from .contiguous import DEFAULT_CHUNK_PAGES, ChunkIovaAllocator, IovaChunk
 from .rbtree import IovaRange, IovaRbTree
 
 __all__ = [
+    "age_allocator",
+    "replay_aging",
     "IovaAllocator",
     "RbTreeIovaAllocator",
     "CachingIovaAllocator",

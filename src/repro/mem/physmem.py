@@ -27,7 +27,11 @@ class PhysicalMemory:
     """A fixed pool of 4 KB physical frames.
 
     Frames are handed out LIFO (hot frames are reused first, like a real
-    per-CPU page allocator), which also makes allocation O(1).
+    per-CPU page allocator), which also makes allocation O(1).  The pool
+    is filled lazily: freed frames sit on a stack, and frames never
+    handed out are the ascending range from a fresh-frame watermark.
+    That is the order an eager descending free list would pop them in,
+    without building a ``total_frames``-entry list per instance.
     """
 
     HUGE_FRAMES = 512  # 2 MB of 4 KB frames
@@ -36,7 +40,8 @@ class PhysicalMemory:
         if total_frames <= 0:
             raise ValueError("need at least one frame")
         self.total_frames = total_frames
-        self._free: list[int] = list(range(total_frames - 1, -1, -1))
+        self._free: list[int] = []
+        self._next_fresh = 0
         self._allocated: set[int] = set()
         self.alloc_count = 0
         self.free_count = 0
@@ -50,9 +55,13 @@ class PhysicalMemory:
 
     def alloc_frame(self) -> int:
         """Allocate one frame; raises :class:`OutOfMemoryError` if empty."""
-        if not self._free:
+        if self._free:
+            frame = self._free.pop()
+        elif self._next_fresh < self.total_frames:
+            frame = self._next_fresh
+            self._next_fresh += 1
+        else:
             raise OutOfMemoryError("physical memory exhausted")
-        frame = self._free.pop()
         self._allocated.add(frame)
         self.alloc_count += 1
         return frame

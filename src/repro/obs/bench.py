@@ -217,9 +217,9 @@ def run_bench(
 
     Ordering matters for the warm pool: the serial sweep runs first
     (paying the one-time process-level warmup — imports, specialized
-    bytecode, the aged-allocator cache), then the pool is forked, so
-    workers inherit that warm state via copy-on-write and the parallel
-    sweeps measure dispatch, not re-warming.  The pool fork itself is a
+    bytecode), then the pool is forked, so workers inherit that warm
+    state via copy-on-write and the parallel sweeps measure dispatch,
+    not re-warming.  The pool fork itself is a
     per-invocation cost and is deliberately not billed to any row.
     """
     benchmarks: list[dict] = []

@@ -21,11 +21,11 @@ Execution model:
   the runner registry and clears the inherited hooks.  Forking *after*
   the parent has run serial work means workers inherit every
   process-level cache the parent has paid for (imports, specialized
-  bytecode, the aged-allocator snapshots of ``repro.host.server``) via
-  copy-on-write — which is how a warm pool beats a serial sweep even on
-  a single usable CPU.  The pool is re-forked only if a later sweep
-  needs more workers or the runner registry changed (tests register
-  scratch runners; forked workers must see them).
+  bytecode) via copy-on-write — which is how a warm pool beats a
+  serial sweep even on a single usable CPU.  The pool is re-forked
+  only if a later sweep needs more workers or the runner registry
+  changed (tests register scratch runners; forked workers must see
+  them).
 * The parent consumes chunk futures **in spec order** — not completion
   order — adopting worker phases into its registry as it goes, so the
   phase list, indices and ``#N`` scope names are identical to a serial

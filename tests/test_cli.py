@@ -73,3 +73,13 @@ def test_profile_dumps_raw_stats(tmp_path, capsys):
 def test_profile_bad_sort_key_errors(capsys):
     assert main(["profile", "fig12", "--sort", "nope"]) == 2
     assert "unknown sort key" in capsys.readouterr().err
+
+
+def test_profile_bad_sort_key_rejected_before_running(monkeypatch, capsys):
+    def must_not_run(**kwargs):
+        raise AssertionError("the figure ran before --sort was validated")
+
+    _runner, description = FIGURES["fig2"]
+    monkeypatch.setitem(FIGURES, "fig2", (must_not_run, description))
+    assert main(["profile", "fig2", "--sort", "bogus"]) == 2
+    assert "unknown sort key 'bogus'" in capsys.readouterr().err
