@@ -32,7 +32,7 @@ from .pagetable import (
     ReclaimedPage,
     WalkResult,
 )
-from .ptcache import ProbeOutcome, PtCache, PtCacheHierarchy
+from .ptcache import PtCache, PtCacheHierarchy
 from .stats import IommuStats, IommuStatsDelta
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "Iotlb",
     "PtCache",
     "PtCacheHierarchy",
-    "ProbeOutcome",
     "InvalidationQueue",
     "InvalidationRequest",
     "burst_ready",

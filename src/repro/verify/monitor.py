@@ -138,13 +138,9 @@ class InvariantMonitor:
     # Attachment helpers
     # ------------------------------------------------------------------
     def attach_iommu(self, iommu: Any) -> None:
-        """Attach to an already-constructed :class:`~repro.iommu.Iommu`."""
-        iommu.monitor = self
-        iommu.page_table.monitor = self
-        iommu.iotlb.monitor = self
-        iommu.invalidation_queue.monitor = self
-        for cache in iommu.ptcaches.levels:
-            cache.monitor = self
+        """Attach to an already-constructed :class:`~repro.iommu.Iommu`
+        (see :meth:`~repro.iommu.Iommu.attach_monitor`)."""
+        iommu.attach_monitor(self)
 
     def attach_allocator(self, allocator: Any) -> None:
         """Attach to a caching or rbtree IOVA allocator instance."""

@@ -1,9 +1,12 @@
 """Unit tests for the IO page table, including Fig 5 reclamation semantics."""
 
+import copy
+
 import pytest
 
-from repro.iommu import IOPageTable, MappingError
-from repro.iommu.addr import PAGE_SIZE, PTL4_PAGE_SIZE
+from repro.iommu import IOPageTable, Iommu, MappingError, PageTablePage
+from repro.iommu import pagetable
+from repro.iommu.addr import PAGE_SIZE, PTL4_PAGE_SIZE, level_index
 
 MB = 1024 * 1024
 
@@ -182,3 +185,151 @@ class TestDescriptorGranularityNeverReclaims:
             )
             assert reclaimed == []
         assert table.stats.pages_reclaimed == 0
+
+
+def table_state(table):
+    """Every mapping, the PT pages and the counters, for equality checks."""
+    pages = []
+    mappings = {}
+
+    def visit(page):
+        pages.append((page.level, page.base_iova))
+        for index, child in page.entries.items():
+            if isinstance(child, PageTablePage):
+                visit(child)
+            else:
+                mappings[(page.level, page.base_iova, index)] = child
+
+    visit(table.root)
+    return (
+        sorted(pages),
+        mappings,
+        table.mapped_pages,
+        copy.deepcopy(table.stats),
+        dict(table._paths),
+    )
+
+
+class TestUnmapIsAllOrNothing:
+    """A failing ``unmap_range`` leaves the table exactly as it was."""
+
+    def test_unmapped_page_inside_range(self):
+        table = IOPageTable()
+        table.map_page(0x0, 1)
+        table.map_page(0x1000, 2)
+        before = table_state(table)
+        with pytest.raises(MappingError, match="0x2000 not mapped"):
+            table.unmap_range(0x0, 0x3000)
+        assert table_state(table) == before
+        assert table.mapped_pages == 2
+        assert table.stats.unmaps == 0
+        assert table.lookup(0x0) == 1 and table.lookup(0x1000) == 2
+
+    def test_partially_covered_huge_leaf(self):
+        table = IOPageTable()
+        base = 0x40000000
+        map_range(table, base + PTL4_PAGE_SIZE - 2 * PAGE_SIZE, 2)
+        table.map_huge(base + PTL4_PAGE_SIZE, 9000)
+        before = table_state(table)
+        with pytest.raises(MappingError, match="partial unmap"):
+            table.unmap_range(
+                base + PTL4_PAGE_SIZE - 2 * PAGE_SIZE, 3 * PAGE_SIZE
+            )
+        assert table_state(table) == before
+        assert table.walk(base + PTL4_PAGE_SIZE).huge
+        assert table.lookup(base + PTL4_PAGE_SIZE - PAGE_SIZE) == 101
+
+    def test_failed_covering_unmap_reclaims_nothing(self):
+        table = IOPageTable()
+        base = 0x40000000
+        map_range(table, base, 2 * MB // PAGE_SIZE)
+        table.map_page(base + 2 * MB + PAGE_SIZE, 7)
+        before = table_state(table)
+        with pytest.raises(MappingError):
+            table.unmap_range(base, 4 * MB)
+        assert table_state(table) == before
+        assert table.stats.pages_reclaimed == 0
+
+    def test_unmap_after_a_failed_unmap_still_reclaims(self):
+        table = IOPageTable()
+        base = 0x40000000
+        map_range(table, base, 2 * MB // PAGE_SIZE)
+        with pytest.raises(MappingError):
+            table.unmap_range(base, 4 * MB)
+        reclaimed = table.unmap_range(base, 2 * MB)
+        assert [(r.level, r.base_iova) for r in reclaimed] == [(4, base)]
+
+    def test_map_page_over_huge_leaf_rejected(self):
+        table = IOPageTable()
+        table.map_huge(0x40000000, 9000)
+        before = table_state(table)
+        with pytest.raises(MappingError):
+            table.map_page(0x40000000 + PAGE_SIZE, 1)
+        assert table_state(table) == before
+
+
+class TestDescentShortcuts:
+    """The reclaim bound and the PT-L4 path index."""
+
+    def test_no_unmap_shorter_than_2mb_scans_for_reclaim(self, monkeypatch):
+        calls = []
+        scan = IOPageTable._reclaim_covered
+
+        def counting(self, page, start, end, reclaimed):
+            calls.append((start, end))
+            return scan(self, page, start, end, reclaimed)
+
+        monkeypatch.setattr(IOPageTable, "_reclaim_covered", counting)
+        table = IOPageTable()
+        base = 0x40000000
+        map_range(table, base, 3 * PTL4_PAGE_SIZE // PAGE_SIZE)
+        offset = 0
+        for pages in (1, 64, 446):  # 511 pages, all inside region 0
+            table.unmap_range(base + offset, pages * PAGE_SIZE)
+            offset += pages * PAGE_SIZE
+        assert calls == []
+        assert table.unmap_range(base + 2 * MB, 2 * MB)  # reclaims
+        assert calls[0] == (base + 2 * MB, base + 4 * MB)
+
+    def test_fast_paths_make_no_level_index_calls(self, monkeypatch):
+        table = IOPageTable()
+        iommu = Iommu()
+        table.map_page(0x40000000, 1)  # creates the PT-L4 page
+        iommu.map_page(0x40000000, 1)
+        calls = []
+
+        def counting(iova, level):
+            calls.append(level)
+            return level_index(iova, level)
+
+        monkeypatch.setattr(pagetable, "level_index", counting)
+        for subject in (table, iommu.page_table):
+            subject.map_page(0x40001000, 2)
+            assert subject.walk(0x40001000).frame == 2
+            assert subject.lookup(0x40002000) is None
+            subject.unmap_range(0x40001000, PAGE_SIZE)
+        assert iommu.translate(0x40000000).memory_reads == 4
+        assert iommu.translate(0x40000000).iotlb_hit
+        assert calls == []
+        iommu.map_page(0x40000000 + 2 * MB, 3)  # index miss: descends
+        assert calls
+
+    def test_walk_returns_the_indexed_path(self):
+        table = IOPageTable()
+        table.map_page(0x40000000, 1)
+        table.map_page(0x40001000, 2)
+        first = table.walk(0x40000000).pages
+        assert table.walk(0x40001000).pages is first
+        assert first is table._paths[0x40000000 >> 21]
+        assert first[0] is table.root
+
+    def test_reclaim_drops_the_index_entry(self):
+        table = IOPageTable()
+        base = 0x40000000
+        map_range(table, base, 2 * MB // PAGE_SIZE)
+        table.map_page(base + 2 * MB, 7)
+        table.unmap_range(base, 2 * MB)
+        assert set(table._paths) == {(base + 2 * MB) >> 21}
+        table.map_page(base, 8)  # remap after reclaim rebuilds the path
+        assert set(table._paths) == {base >> 21, (base + 2 * MB) >> 21}
+        assert table.walk(base).pages[3].entries == {0: 8}

@@ -8,7 +8,7 @@ entry, an overlapping allocation) makes the monitor raise
 
 import pytest
 
-from repro.iommu import Iommu
+from repro.iommu import Iommu, burst_ready
 from repro.iommu.addr import PAGE_SIZE
 from repro.iommu.iommu import DmaFault
 from repro.iova.allocator import RbTreeIovaAllocator
@@ -262,6 +262,47 @@ def test_attach_after_construction():
     iommu.map_page(0x1000, 1)
     iommu.translate(0x1000)
     assert monitor.events_recorded > 0
+
+
+def _event_sequence(monitor):
+    return [
+        (type(event).__name__, event._describe())
+        for event in monitor.trace()
+    ]
+
+
+def _map_and_translate_three_times(iommu):
+    iommu.map_page(0x1000, 1)
+    for _ in range(3):
+        iommu.translate(0x1000)
+
+
+def test_post_hoc_attach_records_like_construction_time_monitor():
+    """Attaching after construction disarms the one-entry fast path, so
+    every translation emits its TranslateEvent and burst replay is off,
+    exactly as for an IOMMU built under ``monitored(...)``."""
+    built = InvariantMonitor()
+    _map_and_translate_three_times(make_iommu(built))
+    iommu = Iommu()
+    assert burst_ready(iommu)
+    attached = InvariantMonitor()
+    attached.attach_iommu(iommu)
+    assert not burst_ready(iommu)
+    _map_and_translate_three_times(iommu)
+    assert built.events_recorded == 4
+    assert _event_sequence(attached) == _event_sequence(built)
+
+
+def test_post_hoc_attach_drops_an_armed_fast_path_entry():
+    iommu = Iommu()
+    iommu.map_page(0x1000, 1)
+    iommu.translate(0x1000)  # arms the fast path for page 1
+    monitor = InvariantMonitor()
+    monitor.attach_iommu(iommu)
+    iommu.translate(0x1000)
+    assert [name for name, _ in _event_sequence(monitor)] == [
+        "TranslateEvent"
+    ]
 
 
 def test_two_address_spaces_do_not_collide():
