@@ -16,6 +16,7 @@ factor.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ..net.dctcp import DctcpParams, DctcpReceiver, DctcpSender
@@ -107,7 +108,7 @@ class RemotePeer:
     def packet_from_wire(self, packet: Packet) -> None:
         """Handle a delivered packet after a small processing delay."""
         self.sim.schedule_after(
-            self.processing_delay_ns, lambda: self._process(packet)
+            self.processing_delay_ns, partial(self._process, packet)
         )
 
     def _process(self, packet: Packet) -> None:

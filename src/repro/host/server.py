@@ -8,7 +8,7 @@ datapath steps:
    page-slot consumption from the per-core ring;
 3. DMA through the PCIe Rx pipeline with per-transaction address
    translation (IOTLB probe, PTcache-shortened walk on the shared
-   walker — the begin callback runs at DMA start so concurrent Tx
+   walker — the begin handler runs at DMA start so concurrent Tx
    invalidations interleave faithfully);
 4. descriptor retirement (unmap + invalidate per the protection mode)
    and replenishment, charged to the owning core;
@@ -23,6 +23,7 @@ are all *outcomes* of this machinery, not inputs.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from ..iommu import Iommu
@@ -83,10 +84,20 @@ class Host:
         self.nic.on_wake = self._pump_rx_dma
         self.cores = CoreSet(sim, config.num_cores)
         self.rx_pipeline = DmaPipeline(
-            sim, config.pcie, config.pcie.rx_lanes, label="rx"
+            sim,
+            config.pcie,
+            config.pcie.rx_lanes,
+            self._rx_dma_begin,
+            self._rx_dma_finish,
+            label="rx",
         )
         self.tx_pipeline = DmaPipeline(
-            sim, config.pcie, config.pcie.tx_lanes, label="tx"
+            sim,
+            config.pcie,
+            config.pcie.tx_lanes,
+            self._tx_dma_begin,
+            self._tx_dma_finish,
+            label="tx",
         )
         self._flows: dict[int, _FlowBinding] = {}
         # Per-core NAPI state.
@@ -99,10 +110,11 @@ class Host:
         self._pending_tx: list[list[TxMapping]] = [
             [] for _ in range(config.num_cores)
         ]
-        # DMA bookkeeping: packet_id -> taken (descriptor, slot) pairs.
+        # DMA bookkeeping: packet_id -> taken (descriptor, slot) pairs
+        # of packets waiting in the NIC input buffer.
         self._pending_slots: dict[int, list] = {}
         # Hard-fault path: packets whose DMA the IOMMU aborted.  The
-        # begin callback flags the packet; the finish callback consumes
+        # begin handler flags the packet; the finish handler consumes
         # the flag and suppresses delivery (Rx) / wire-out (Tx).
         self._aborted_dmas: set[int] = set()
         self._aborted_tx: set[int] = set()
@@ -255,41 +267,78 @@ class Host:
     # Wire ingress (step 2-3)
     # ------------------------------------------------------------------
     def packet_from_wire(self, packet: Packet) -> None:
-        """Every arriving packet — data or ACK — is DMA'd via a ring."""
-        pages = max(1, -(-packet.size_bytes // PAGE_SIZE))
+        """Every arriving packet — data or ACK — is DMA'd via a ring.
+
+        Admission (reset window, ring space, input-buffer space), the
+        page-slot reservation and, when the DMA engine can take the
+        packet at once, the DMA start all happen here.
+        """
+        size = packet.size_bytes
+        pages = 1 if size <= PAGE_SIZE else -(-size // PAGE_SIZE)
         binding = self._flows.get(packet.flow_id)
         core = binding.core if binding else packet.flow_id % self.config.num_cores
-        ring = self.nic.rings[core]
-        self.nic.stats.arrived_packets += 1
-        self.nic.stats.arrived_bytes += packet.size_bytes
-        if self.nic.quiesced:
+        nic = self.nic
+        stats = nic.stats
+        stats.arrived_packets += 1
+        stats.arrived_bytes += size
+        if nic.quiesced:
             # Function-level reset in progress: the device is off the
             # bus and arrivals are lost, like a real reset window.
-            self.nic.stats.buffer_drops += 1
+            stats.buffer_drops += 1
             return
+        ring = nic.rings[core]
         if ring.free_pages < pages:
-            self.nic.stats.ring_drops += 1
+            stats.ring_drops += 1
             return
-        if not self.nic.input_buffer.try_enqueue(packet, packet.size_bytes):
-            self.nic.stats.buffer_drops += 1
+        buffer = nic.input_buffer
+        if not buffer.try_enqueue(packet, size):
+            stats.buffer_drops += 1
             return
         # Reserve the page slots now (the NIC owns them on arrival).
-        self._pending_slots[packet.packet_id] = ring.take_pages(pages)
+        taken = ring.take_pages(pages)
+        pipeline = self.rx_pipeline
+        if (
+            nic.faults is None
+            and pipeline.inflight < pipeline.lanes
+            and len(buffer) == 1
+        ):
+            # Nothing is queued ahead and a lane is free: the pump would
+            # dequeue exactly this packet now, so start its DMA here.
+            buffer.dequeue()
+            stats.dma_packets += 1
+            stats.dma_bytes += size
+            pipeline.submit(size, (packet, taken))
+            return
+        self._pending_slots[packet.packet_id] = taken
         self._pump_rx_dma()
 
     def _pump_rx_dma(self) -> None:
-        while self.rx_pipeline.inflight < self.rx_pipeline.lanes:
-            packet = self.nic.next_packet()
-            if packet is None:
+        """Feed buffered packets to free Rx DMA lanes, in FIFO order."""
+        nic = self.nic
+        pipeline = self.rx_pipeline
+        pending_slots = self._pending_slots
+        if nic.faults is not None or nic.quiesced:
+            # Stalls, wedges and resets live in Nic.next_packet.
+            while pipeline.inflight < pipeline.lanes:
+                packet = nic.next_packet()
+                if packet is None:
+                    return
+                taken = pending_slots.pop(packet.packet_id)
+                pipeline.submit(packet.size_bytes, (packet, taken))
+            return
+        buffer = nic.input_buffer
+        stats = nic.stats
+        while pipeline.inflight < pipeline.lanes:
+            entry = buffer.dequeue()
+            if entry is None:
                 return
-            taken = self._pending_slots.pop(packet.packet_id)
-            self.rx_pipeline.submit(
-                packet.size_bytes,
-                lambda start, p=packet, t=taken: self._rx_dma_begin(start, p, t),
-                lambda p=packet, t=taken: self._rx_dma_finish(p, t),
-            )
+            packet, size = entry
+            stats.dma_packets += 1
+            stats.dma_bytes += size
+            taken = pending_slots.pop(packet.packet_id)
+            pipeline.submit(size, (packet, taken))
 
-    def _rx_dma_begin(self, start: float, packet: Packet, taken) -> float:
+    def _rx_dma_begin(self, start: float, item: tuple) -> float:
         """Translate every PCIe transaction, then time the DMA.
 
         Each IOTLB miss is one page walk: reads within a walk are
@@ -297,6 +346,7 @@ class Host:
         walker channels.  The DMA completes when the wire transfer and
         the slowest walk (plus the per-DMA base latency l0) are done.
         """
+        packet, taken = item
         config = self.config
         walks_done = start
         remaining = packet.size_bytes
@@ -340,24 +390,26 @@ class Host:
         wire_done = self.rx_pipeline.reserve_wire(start, packet.size_bytes)
         return max(wire_done, walks_done + config.pcie.l0_ns)
 
-    def _rx_dma_finish(self, packet: Packet, taken) -> None:
+    def _rx_dma_finish(self, item: tuple) -> None:
+        packet, taken = item
         aborted = packet.packet_id in self._aborted_dmas
         if aborted:
             self._aborted_dmas.discard(packet.packet_id)
-        ring = None
         for descriptor, _slot in taken:
-            descriptor.dma_done()
-        if taken:
-            core = taken[0][0].core
-            ring = self.nic.rings[core]
+            descriptor.dma_pending -= 1
         if packet.is_data and not aborted:
-            pages = len(taken)
             self.rx_data_segments += 1
             self.rx_data_bytes += packet.size_bytes
-            self.rx_data_pages += pages
-        if ring is not None:
-            for descriptor in ring.pop_completed():
-                self._schedule_descriptor_recycle(descriptor)
+            self.rx_data_pages += len(taken)
+        if taken:
+            # Retirement is FIFO and every finish pops a complete head,
+            # so the head can only be complete now if it is the first
+            # descriptor this DMA wrote into and that one just completed
+            # (every slot taken, every write landed).
+            first = taken[0][0]
+            if first.dma_pending == 0 and first.consumed == len(first.slots):
+                for descriptor in self.nic.rings[first.core].pop_completed():
+                    self._schedule_descriptor_recycle(descriptor)
         if not aborted:
             # An aborted DMA wrote nothing: the packet is lost exactly
             # like a wire drop, and the transport's loss recovery (dup
@@ -428,11 +480,11 @@ class Host:
             ):
                 self._poll_timer[core].cancel()
                 self._poll_timer[core] = None
-                self.sim.schedule_after(0.0, lambda: self._poll(core))
+                self.sim.schedule_after(0.0, partial(self._poll, core))
             return
         self._poll_scheduled[core] = True
         self._poll_timer[core] = self.sim.call_after(
-            self.config.irq_coalesce_ns, lambda: self._poll(core)
+            self.config.irq_coalesce_ns, partial(self._poll, core)
         )
 
     def _poll(self, core: int) -> None:
@@ -453,7 +505,7 @@ class Host:
             cost += config.cpu.stack_per_packet_ns
             if packet.is_data:
                 cost += touch_ns * (packet.size_bytes / PAGE_SIZE)
-        self.cores.run(core, cost, lambda: self._poll_done(core, batch))
+        self.cores.run(core, cost, partial(self._poll_done, core, batch))
 
     def _poll_done(self, core: int, batch: list[Packet]) -> None:
         gro_segments = max(
@@ -497,7 +549,7 @@ class Host:
         if self._napi_queues[core]:
             self._poll_scheduled[core] = True
             self._poll_timer[core] = self.sim.call_after(
-                self.config.irq_coalesce_ns, lambda: self._poll(core)
+                self.config.irq_coalesce_ns, partial(self._poll, core)
             )
 
     # ------------------------------------------------------------------
@@ -508,11 +560,7 @@ class Host:
         self.cores.charge(core, cost)
         self.acks_sent += 1
         self.tx_pipeline.submit(
-            ack.size_bytes,
-            lambda start, m=mapping, p=ack: self._tx_dma_begin(
-                start, p, [m], "tx_ack"
-            ),
-            lambda p=ack, m=mapping, c=core: self._tx_dma_finish(p, [m], c),
+            ack.size_bytes, (ack, [mapping], core, "tx_ack")
         )
 
     def pump_tx_flow(self, flow_id: int) -> None:
@@ -537,16 +585,11 @@ class Host:
         self.tx_data_segments += 1
         self.tx_data_bytes_sent += packet.size_bytes
         self.tx_pipeline.submit(
-            packet.size_bytes,
-            lambda start, p=packet, m=mappings: self._tx_dma_begin(
-                start, p, m, "tx_data"
-            ),
-            lambda p=packet, m=mappings, c=core: self._tx_dma_finish(p, m, c),
+            packet.size_bytes, (packet, mappings, core, "tx_data")
         )
 
-    def _tx_dma_begin(
-        self, start: float, packet: Packet, mappings, source: str
-    ) -> float:
+    def _tx_dma_begin(self, start: float, item: tuple) -> float:
+        packet, mappings, _core, source = item
         config = self.config
         walks_done = start
         remaining = packet.size_bytes
@@ -584,7 +627,8 @@ class Host:
         wire_done = self.tx_pipeline.reserve_wire(start, packet.size_bytes)
         return max(wire_done, walks_done + config.pcie.l0_ns)
 
-    def _tx_dma_finish(self, packet: Packet, mappings, core: int) -> None:
+    def _tx_dma_finish(self, item: tuple) -> None:
+        packet, mappings, core, _source = item
         if packet.packet_id in self._aborted_tx:
             # The device never read the payload; nothing reaches the
             # wire, but the mappings still retire through the normal

@@ -27,6 +27,11 @@ class PacketKind:
     RPC_RESP = "rpc_resp"
 
 
+_DATA_KINDS = frozenset(
+    (PacketKind.DATA, PacketKind.RPC_REQ, PacketKind.RPC_RESP)
+)
+
+
 class Packet:
     """One wire unit.
 
@@ -39,7 +44,9 @@ class Packet:
     size_bytes:
         Bytes on the wire.
     kind:
-        One of :class:`PacketKind`.
+        One of :class:`PacketKind`; fixed at construction.
+    is_data:
+        Whether ``kind`` carries payload (data or an RPC message).
     ecn_marked:
         Set by the switch when its queue exceeds the marking threshold;
         echoed by the receiver in ACKs (``ecn_echo``).
@@ -57,6 +64,7 @@ class Packet:
         "seq",
         "size_bytes",
         "kind",
+        "is_data",
         "ecn_marked",
         "ecn_echo",
         "retransmission",
@@ -80,6 +88,9 @@ class Packet:
         self.seq = seq
         self.size_bytes = size_bytes
         self.kind = kind
+        # ``kind`` never changes after construction, so the data test
+        # every hop makes is computed once.
+        self.is_data = kind in _DATA_KINDS
         self.ecn_marked = False
         self.ecn_echo = False
         self.retransmission = False
@@ -89,10 +100,6 @@ class Packet:
         # For ACK packets: the sequence of the segment that triggered
         # this (dup) ack, letting the sender do SACK-like recovery.
         self.sack_seq: Optional[int] = None
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind in (PacketKind.DATA, PacketKind.RPC_REQ, PacketKind.RPC_RESP)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

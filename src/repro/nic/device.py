@@ -112,27 +112,6 @@ class Nic:
                 "buffered_bytes", lambda: self.input_buffer.occupancy_bytes
             )
 
-    def ring_for_flow(self, flow_id: int) -> RxRing:
-        """aRFS steering: a flow always lands on the same core's ring."""
-        return self.rings[flow_id % len(self.rings)]
-
-    def offer(self, packet, pages_needed: int) -> bool:
-        """Accept an arriving packet into the input buffer.
-
-        Returns ``False`` (and counts the drop) when the buffer is full
-        or the target ring has no free pages for it.
-        """
-        self.stats.arrived_packets += 1
-        self.stats.arrived_bytes += packet.size_bytes
-        ring = self.ring_for_flow(packet.flow_id)
-        if ring.free_pages < pages_needed:
-            self.stats.ring_drops += 1
-            return False
-        if not self.input_buffer.try_enqueue(packet, packet.size_bytes):
-            self.stats.buffer_drops += 1
-            return False
-        return True
-
     def next_packet(self):
         """Pop the next buffered packet for the DMA engine.
 

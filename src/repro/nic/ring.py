@@ -36,9 +36,10 @@ class RxRing:
         self._descriptors: deque[RxDescriptor] = deque()
         self.posted_descriptors = 0
         self.completed_descriptors = 0
-        # Maintained count of unconsumed slots; every arrival checks
-        # free_pages, so summing the deque there is a hot-path cost.
-        self._free_pages = 0
+        # Unconsumed page slots across all posted descriptors.  A
+        # maintained count: every arrival checks it, so summing the
+        # deque there would be a hot-path cost.
+        self.free_pages = 0
         # Fault plumbing (repro.faults); both None in normal runs.
         self.sim = sim
         self.faults = faults
@@ -63,12 +64,7 @@ class RxRing:
     def _post_now(self, descriptor: RxDescriptor) -> None:
         self._descriptors.append(descriptor)
         self.posted_descriptors += 1
-        self._free_pages += descriptor.free_pages
-
-    @property
-    def free_pages(self) -> int:
-        """Unconsumed page slots across all posted descriptors."""
-        return self._free_pages
+        self.free_pages += descriptor.free_pages
 
     @property
     def descriptor_count(self) -> int:
@@ -81,15 +77,26 @@ class RxRing:
         caller must check :attr:`free_pages` first (and drop the packet
         if the ring is empty — the "ring exhaustion" drop mode).
         """
-        if count > self._free_pages:
+        if count > self.free_pages:
             raise RuntimeError("ring has too few free pages")
+        if count == 1:
+            # One-page packets (every MTU-sized segment and ACK): the
+            # first descriptor with a free slot supplies it, exactly as
+            # RxDescriptor.take_page would.
+            for descriptor in self._descriptors:
+                consumed = descriptor.consumed
+                if consumed < len(descriptor.slots):
+                    descriptor.consumed = consumed + 1
+                    descriptor.dma_pending += 1
+                    self.free_pages -= 1
+                    return [(descriptor, descriptor.slots[consumed])]
         taken: list[tuple[RxDescriptor, PageSlot]] = []
         for descriptor in self._descriptors:
             while not descriptor.is_exhausted and len(taken) < count:
                 taken.append((descriptor, descriptor.take_page()))
             if len(taken) == count:
                 break
-        self._free_pages -= count
+        self.free_pages -= count
         return taken
 
     def pop_completed(self) -> list[RxDescriptor]:
@@ -113,5 +120,5 @@ class RxRing:
         """
         drained = list(self._descriptors)
         self._descriptors.clear()
-        self._free_pages = 0
+        self.free_pages = 0
         return drained

@@ -15,11 +15,15 @@ Each direction of PCIe is modeled as a :class:`DmaPipeline`:
   PCIe 3.0 x16), so aggregate throughput never exceeds the link even
   with several lanes.
 
-A DMA's service time is computed *when it starts* via a caller-supplied
-``begin`` callback: the callback performs the IOTLB/PTcache probes at
-the correct simulated instant (so invalidations by other traffic
-interleave faithfully), reserves page-walk time on the shared walker,
-and returns the completion time — typically
+The pipeline is built with two handlers and moves opaque *items*
+between them: ``submit(size_bytes, item)`` queues one DMA, and the
+pipeline hands the same item to ``begin(start, item)`` when a lane
+starts it and to ``finish(item)`` when it completes.  Callers pass no
+per-DMA callbacks, so a DMA allocates no closure.  ``begin`` computes
+the DMA's service time *when it starts*: it performs the IOTLB/PTcache
+probes at the correct simulated instant (so invalidations by other
+traffic interleave faithfully), reserves page-walk time on the shared
+walker, and returns the completion time — typically
 ``max(wire_done, walk_done + l0)`` with the paper's fitted l0 = 65 ns.
 """
 
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Any, Callable
 
 from ..faults.hooks import injector_for
 from ..mem.latency import DEFAULT_L0_NS
@@ -58,12 +63,6 @@ class PcieConfig:
         return -(-size_bytes // self.max_payload_bytes)
 
 
-# ``begin`` receives the DMA's start time and returns its completion
-# time; ``finish`` runs at completion.
-BeginFn = Callable[[float], float]
-FinishFn = Callable[[], None]
-
-
 class DmaPipeline:
     """Lane-limited, wire-serialized DMA pipeline for one direction."""
 
@@ -72,6 +71,8 @@ class DmaPipeline:
         sim: Simulator,
         config: PcieConfig,
         lanes: int,
+        begin: Callable[[float, Any], float],
+        finish: Callable[[Any], None],
         label: str = "dma",
     ) -> None:
         if lanes <= 0:
@@ -79,9 +80,17 @@ class DmaPipeline:
         self.sim = sim
         self.config = config
         self.lanes = lanes
+        # ``begin(start, item)`` runs when a lane starts the DMA and
+        # returns its completion time; ``finish(item)`` runs at
+        # completion.
+        self._begin_handler = begin
+        self._finish_handler = finish
         self.label = label  # direction tag for metrics/trace ("rx"/"tx")
-        self._busy = 0
-        self._pending: deque[tuple[int, BeginFn, FinishFn]] = deque()
+        # DMAs holding a lane (started, held by a link flap, or waiting
+        # for completion); a plain attribute because the host reads it
+        # per packet.
+        self.inflight = 0
+        self._pending: deque[tuple[int, Any]] = deque()
         self._wire_busy_until = 0.0
         self.completed_dmas = 0
         self.completed_bytes = 0
@@ -105,17 +114,22 @@ class DmaPipeline:
             scope.gauge("queued", lambda: self.queued)
 
     # ------------------------------------------------------------------
-    def submit(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
-        """Queue one DMA; it starts when a lane frees up."""
-        if self._busy < self.lanes:
-            self._start(size_bytes, begin, finish)
+    def submit(self, size_bytes: int, item: Any) -> None:
+        """Queue one DMA of ``item``; it starts when a lane frees up."""
+        if self.inflight < self.lanes:
+            if self.faults is None:
+                # No link flap can hold it: start the DMA directly.
+                self.inflight += 1
+                self._begin(size_bytes, item)
+            else:
+                self._start(size_bytes, item)
         else:
-            self._pending.append((size_bytes, begin, finish))
+            self._pending.append((size_bytes, item))
 
     def reserve_wire(self, start: float, size_bytes: int) -> float:
         """Serialize ``size_bytes`` on the shared wire from ``start``.
 
-        Returns the time the last byte crosses.  ``begin`` callbacks use
+        Returns the time the last byte crosses.  ``begin`` handlers use
         this so that concurrent lanes cannot exceed the link rate.
         """
         wire_start = max(start, self._wire_busy_until)
@@ -129,8 +143,8 @@ class DmaPipeline:
         return wire_done
 
     # ------------------------------------------------------------------
-    def _start(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
-        self._busy += 1
+    def _start(self, size_bytes: int, item: Any) -> None:
+        self.inflight += 1
         if self.faults is not None:
             held_until = self.faults.hold_until()
             if held_until is not None and held_until > self.sim.now:
@@ -139,17 +153,14 @@ class DmaPipeline:
                 # begins when the link retrains.
                 self.held_dmas += 1
                 self.sim.schedule_at(
-                    held_until,
-                    lambda s=size_bytes, b=begin, f=finish: self._begin(
-                        s, b, f
-                    ),
+                    held_until, partial(self._begin, size_bytes, item)
                 )
                 return
-        self._begin(size_bytes, begin, finish)
+        self._begin(size_bytes, item)
 
-    def _begin(self, size_bytes: int, begin: BeginFn, finish: FinishFn) -> None:
+    def _begin(self, size_bytes: int, item: Any) -> None:
         start = self.sim.now
-        completion = begin(start)
+        completion = self._begin_handler(start, item)
         if completion < start:
             raise ValueError("begin() returned a completion in the past")
         if self.faults is not None:
@@ -168,22 +179,18 @@ class DmaPipeline:
                 bytes=size_bytes,
             )
         self.sim.schedule_at(
-            completion, lambda s=size_bytes, f=finish: self._complete(s, f)
+            completion, partial(self._complete, size_bytes, item)
         )
 
-    def _complete(self, size_bytes: int, finish: FinishFn) -> None:
-        self._busy -= 1
+    def _complete(self, size_bytes: int, item: Any) -> None:
+        self.inflight -= 1
         self.completed_dmas += 1
         self.completed_bytes += size_bytes
-        finish()
-        while self._pending and self._busy < self.lanes:
-            next_size, next_begin, next_finish = self._pending.popleft()
-            self._start(next_size, next_begin, next_finish)
+        self._finish_handler(item)
+        while self._pending and self.inflight < self.lanes:
+            next_size, next_item = self._pending.popleft()
+            self._start(next_size, next_item)
 
     @property
     def queued(self) -> int:
         return len(self._pending)
-
-    @property
-    def inflight(self) -> int:
-        return self._busy

@@ -2,8 +2,9 @@
 
 Exports the engine (:class:`Simulator`), process primitives
 (:class:`Process`, :class:`Timeout`, :class:`Signal`), shared resources
-(:class:`FifoQueue`, :class:`WindowedPipeline`, :class:`TokenBucketPacer`)
-and deterministic RNG (:class:`SeededRng`).
+(:class:`FifoQueue`, :class:`TokenBucketPacer`) and deterministic RNG
+(:class:`SeededRng`).  The PCIe+IOMMU DMA datapath is modeled by
+:class:`repro.pcie.DmaPipeline`, not here.
 """
 
 from .engine import (
@@ -15,7 +16,7 @@ from .engine import (
     WatchdogError,
 )
 from .process import Process, Signal, Timeout
-from .resources import FifoQueue, TokenBucketPacer, WindowedPipeline
+from .resources import FifoQueue, TokenBucketPacer
 from .rng import SeededRng
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "Timeout",
     "Signal",
     "FifoQueue",
-    "WindowedPipeline",
     "TokenBucketPacer",
     "SeededRng",
 ]

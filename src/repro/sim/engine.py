@@ -370,9 +370,12 @@ class Simulator:
         )
         lines = []
         for time, seq, callback in alive[:limit]:
-            name = getattr(
-                callback, "__qualname__", None
-            ) or getattr(callback, "__name__", repr(callback))
+            # Hot-path events are functools.partial objects: name the
+            # wrapped function, not the partial's repr.
+            func = getattr(callback, "func", callback)
+            name = getattr(func, "__qualname__", None) or getattr(
+                func, "__name__", repr(func)
+            )
             lines.append(f"t={time:.1f}ns seq={seq} {name}")
         overflow = len(alive) - limit
         if overflow > 0:

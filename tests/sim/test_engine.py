@@ -1,5 +1,7 @@
 """Unit tests for the event-calendar engine."""
 
+import functools
+
 import pytest
 
 from repro.sim import (
@@ -193,6 +195,17 @@ def test_pending_event_summary_names_and_overflow():
     assert len(lines) == 3
     assert "stuck_callback" in lines[0]
     assert lines[-1] == "... and 1 more"
+
+
+def test_pending_event_summary_names_partials():
+    sim = Simulator()
+
+    def stuck_callback(packet):
+        pass
+
+    sim.schedule_after(5.0, functools.partial(stuck_callback, "pkt"))
+    (line,) = sim.pending_event_summary()
+    assert line.endswith(".<locals>.stuck_callback")
 
 
 # ---------------------------------------------------------------------------

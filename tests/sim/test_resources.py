@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FifoQueue, Simulator, TokenBucketPacer, WindowedPipeline
+from repro.sim import FifoQueue, Simulator, TokenBucketPacer
 
 
 class TestFifoQueue:
@@ -59,59 +59,6 @@ class TestFifoQueue:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             FifoQueue(capacity_bytes=0)
-
-
-class TestWindowedPipeline:
-    def test_throughput_limited_by_window_littles_law(self):
-        """window W, latency L -> sustained rate = W/L items of size s."""
-        sim = Simulator()
-        pipe = WindowedPipeline(sim, window_bytes=2000)
-        done = []
-        # 10 items of 1000 bytes, 100 ns latency each, window fits 2.
-        for i in range(10):
-            pipe.submit(1000, 100.0, lambda i=i: done.append((i, sim.now)))
-        sim.run()
-        # 2 in flight at a time -> batches complete at 100, 200, ...
-        assert done[0][1] == 100.0
-        assert done[1][1] == 100.0
-        assert done[2][1] == 200.0
-        assert done[-1][1] == 500.0
-        assert pipe.completed_items == 10
-
-    def test_oversized_item_admitted_alone(self):
-        sim = Simulator()
-        pipe = WindowedPipeline(sim, window_bytes=100)
-        done = []
-        pipe.submit(500, 10.0, lambda: done.append(sim.now))
-        sim.run()
-        assert done == [10.0]
-
-    def test_max_inflight_items_cap(self):
-        sim = Simulator()
-        pipe = WindowedPipeline(sim, window_bytes=10**9, max_inflight_items=1)
-        done = []
-        for _ in range(3):
-            pipe.submit(10, 50.0, lambda: done.append(sim.now))
-        sim.run()
-        assert done == [50.0, 100.0, 150.0]
-
-    def test_queued_items_counts_waiting(self):
-        sim = Simulator()
-        pipe = WindowedPipeline(sim, window_bytes=10, max_inflight_items=1)
-        for _ in range(3):
-            pipe.submit(10, 50.0, lambda: None)
-        assert pipe.queued_items == 2
-
-    def test_completion_admits_next(self):
-        sim = Simulator()
-        pipe = WindowedPipeline(sim, window_bytes=10)
-        order = []
-        pipe.submit(10, 30.0, lambda: order.append("first"))
-        pipe.submit(10, 10.0, lambda: order.append("second"))
-        sim.run()
-        # Second cannot start until first finishes at t=30.
-        assert order == ["first", "second"]
-        assert sim.now == 40.0
 
 
 class TestTokenBucketPacer:
